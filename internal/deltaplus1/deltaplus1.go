@@ -106,8 +106,10 @@ func Solve(g *graph.Graph, inst *coloring.Instance, cfg sim.Config) (Result, err
 	maxScales := logstar.CeilLog2(g.MaxDegree()) + 3
 
 	uncolored := make([]int, n)
+	posH := make([]int32, n) // v's index in the current scale's H, -1 outside
 	for v := range uncolored {
 		uncolored[v] = v
+		posH[v] = -1
 	}
 	for len(uncolored) > 0 {
 		res.Scales++
@@ -115,7 +117,7 @@ func Solve(g *graph.Graph, inst *coloring.Instance, cfg sim.Config) (Result, err
 			return Result{}, fmt.Errorf("deltaplus1: degree halving failed to converge after %d scales", maxScales)
 		}
 		scaleSpan := rootSpan.Child(fmt.Sprintf("scale %d: %d uncolored", res.Scales, len(uncolored)))
-		remaining, scaleStats, calls, err := runScale(g, inst, base, res.Colors, uncolored, mu, alpha, cfg, scaleSpan)
+		remaining, scaleStats, calls, err := runScale(g, inst, base, res.Colors, uncolored, posH, mu, alpha, cfg, scaleSpan)
 		if err != nil {
 			return Result{}, err
 		}
@@ -128,15 +130,15 @@ func Solve(g *graph.Graph, inst *coloring.Instance, cfg sim.Config) (Result, err
 }
 
 // runScale executes one degree-halving scale over the uncolored nodes
-// and returns the still-uncolored set.
-func runScale(g *graph.Graph, inst *coloring.Instance, base linial.Result, colors []int, uncolored []int, mu int, alpha float64, cfg sim.Config, span *sim.Span) ([]int, sim.Result, int, error) {
+// and returns the still-uncolored set. posH must be -1 everywhere on
+// entry; runScale fills it for H's nodes and resets it before a
+// successful return, so a scale costs O(|H| + K) and not O(n).
+func runScale(g *graph.Graph, inst *coloring.Instance, base linial.Result, colors []int, uncolored []int, posH []int32, mu int, alpha float64, cfg sim.Config, span *sim.Span) ([]int, sim.Result, int, error) {
 	h, origH := g.InducedSubgraph(uncolored)
-	// origH is ascending (uncolored is maintained in id order), so a
-	// binary-search rank table replaces the per-scale map.
-	indexH := palette.NewIndex(origH)
 	baseH := make([]int, len(origH))
 	for i, v := range origH {
 		baseH[i] = base.Colors[v]
+		posH[v] = int32(i)
 	}
 	// Defective coloring of H: K = O(μ²) classes, ≤ deg_H/(2μ)
 	// same-class neighbors per node.
@@ -148,15 +150,31 @@ func runScale(g *graph.Graph, inst *coloring.Instance, base linial.Result, color
 	stats := psi.Stats
 	calls := 0
 
+	// Bucket H by class with one counting sort: byClass[start[c]:start[c+1]]
+	// lists class c's H-indices in ascending order.
+	start := make([]int, psi.Palette+1)
+	for _, c := range psi.Colors {
+		start[c+1]++
+	}
+	for c := 0; c < psi.Palette; c++ {
+		start[c+1] += start[c]
+	}
+	byClass := make([]int, len(origH))
+	next := append([]int(nil), start[:psi.Palette]...)
+	for i, c := range psi.Colors {
+		byClass[next[c]] = i
+		next[c]++
+	}
+
 	coloredInScale := make([]int, len(origH)) // H-neighbors colored this scale
 	done := make([]bool, len(origH))
 	for class := 0; class < psi.Palette; class++ {
 		// Active: class members with ≤ half their H-neighbors colored
-		// this scale.
+		// this scale. Only this class's turn marks its members done.
 		var active []int // original ids
-		for i, v := range origH {
-			if !done[i] && psi.Colors[i] == class && 2*coloredInScale[i] <= h.Degree(i) {
-				active = append(active, v)
+		for _, i := range byClass[start[class]:start[class+1]] {
+			if 2*coloredInScale[i] <= h.Degree(i) {
+				active = append(active, origH[i])
 			}
 		}
 		if len(active) == 0 {
@@ -178,11 +196,9 @@ func runScale(g *graph.Graph, inst *coloring.Instance, base linial.Result, color
 		announce.TotalBits = announce.Messages * announce.MaxMessageBits
 		stats = sim.Seq(stats, sim.Seq(classStats, announce))
 		for _, v := range active {
-			if i, ok := indexH.Rank(v); ok {
-				done[i] = true
-			}
+			done[posH[v]] = true
 			for _, u := range g.Neighbors(v) {
-				if j, ok := indexH.Rank(u); ok {
+				if j := posH[u]; j >= 0 {
 					coloredInScale[j]++
 				}
 			}
@@ -190,6 +206,7 @@ func runScale(g *graph.Graph, inst *coloring.Instance, base linial.Result, color
 	}
 	var remaining []int
 	for i, v := range origH {
+		posH[v] = -1
 		if !done[i] {
 			remaining = append(remaining, v)
 		}

@@ -141,3 +141,15 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Error("no OLDC calls recorded")
 	}
 }
+
+func BenchmarkSolve(b *testing.B) {
+	g := graph.RandomRegular(10_000, 16, rand.New(rand.NewSource(1)))
+	inst := coloring.DegreePlusOne(g, 64, rand.New(rand.NewSource(2)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(g, inst, sim.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -20,9 +20,9 @@ type Result struct {
 }
 
 // reduceNode executes a reduction schedule at one node. All per-round
-// scratch (the received-color table indexed by neighbor rank, the
-// point-value arrays, the polynomial coefficient buffers) is allocated
-// once in Init and reused, so steady-state rounds allocate nothing.
+// scratch (the received-color table indexed by neighbor rank and the
+// two polynomial coefficient buffers) is allocated once in Init and
+// reused, so steady-state rounds allocate nothing.
 type reduceNode struct {
 	steps    []Step
 	color    int
@@ -31,8 +31,6 @@ type reduceNode struct {
 
 	nbr       palette.Index // rank over ctx.Neighbors (sorted)
 	recv      []int         // received color per neighbor rank, -1 = missing
-	myVals    []int         // my polynomial evaluated at each point
-	conflicts []int         // per-point agreement counts
 	mineBuf   []int         // coefficient scratch for my polynomial
 	theirsBuf []int         // coefficient scratch for neighbor polynomials
 }
@@ -45,17 +43,12 @@ func (n *reduceNode) Init(ctx *sim.Context) []sim.Outgoing {
 	}
 	n.nbr = palette.NewIndex(ctx.Neighbors)
 	n.recv = make([]int, n.nbr.Len())
-	maxQ, maxDeg := 0, 0
+	maxDeg := 0
 	for _, step := range n.steps {
-		if step.Q > maxQ {
-			maxQ = step.Q
-		}
 		if step.Degree > maxDeg {
 			maxDeg = step.Degree
 		}
 	}
-	n.myVals = make([]int, maxQ)
-	n.conflicts = make([]int, maxQ)
 	n.mineBuf = make([]int, maxDeg+1)
 	n.theirsBuf = make([]int, maxDeg+1)
 	return []sim.Outgoing{{To: sim.Broadcast, Payload: sim.IntPayload{Value: n.color, Domain: n.steps[0].ColorsIn}}}
@@ -86,49 +79,46 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 		avoid = ctx.Out
 	}
 	mine := gf.PolyFromIntInto(n.color, step.Q, step.Degree, n.mineBuf)
-	// Evaluate every conflict-relevant neighbor's polynomial at every
-	// point and pick the point with the fewest agreements with mine.
-	// Neighbors that currently share our color agree everywhere and
-	// shift every point's count equally, so they never affect the
-	// argmin — but for the proper (α=0) invariant check we must ignore
-	// them... they cannot exist when the input coloring is proper.
+	// Pick the first point with the fewest agreements between mine and
+	// the conflict-relevant neighbors' polynomials. Points are scanned
+	// in order and a point's count stops as soon as it ties the best so
+	// far, so the argmin is exact but a node only pays for the points
+	// up to its first conflict-free one. The input coloring is proper,
+	// so no neighbor shares our polynomial and each agrees on at most d
+	// points; with q > d·β a conflict-free point exists and a proper
+	// step always ends the scan on one. At a = 0 the best is unbounded,
+	// so every received color is decoded (and range-checked) once.
 	bestA, bestConflicts := 0, int(^uint(0)>>1)
-	myVals := n.myVals[:step.Q]
-	for a := 0; a < step.Q; a++ {
-		myVals[a] = mine.Eval(a)
-	}
-	conflicts := n.conflicts[:step.Q]
-	for a := range conflicts {
-		conflicts[a] = 0
-	}
-	for _, u := range avoid {
-		j, inNbr := n.nbr.Rank(u)
-		if !inNbr || n.recv[j] < 0 {
-			// A neighbor's color is missing — lost or corrupted in
-			// transit. The reliable-network model guarantees this never
-			// happens; under fault injection the node degrades
-			// deterministically by ignoring that neighbor (its conflicts
-			// go uncounted) and lets the validators catch any damage.
-			continue
-		}
-		theirs := gf.PolyFromIntInto(n.recv[j], step.Q, step.Degree, n.theirsBuf)
-		for a := 0; a < step.Q; a++ {
-			if theirs.Eval(a) == myVals[a] {
-				conflicts[a]++
+	for a := 0; a < step.Q && bestConflicts > 0; a++ {
+		myVal := mine.Eval(a)
+		conflicts := 0
+		for _, u := range avoid {
+			if conflicts >= bestConflicts {
+				break
+			}
+			j, inNbr := n.nbr.Rank(u)
+			if !inNbr || n.recv[j] < 0 {
+				// A neighbor's color is missing — lost or corrupted in
+				// transit. The reliable-network model guarantees this
+				// never happens; under fault injection the node degrades
+				// deterministically by ignoring that neighbor (its
+				// conflicts go uncounted) and lets the validators catch
+				// any damage.
+				continue
+			}
+			if gf.PolyFromIntInto(n.recv[j], step.Q, step.Degree, n.theirsBuf).Eval(a) == myVal {
+				conflicts++
 			}
 		}
-	}
-	for a := 0; a < step.Q; a++ {
-		if conflicts[a] < bestConflicts {
-			bestA, bestConflicts = a, conflicts[a]
+		if conflicts < bestConflicts {
+			bestA, bestConflicts = a, conflicts
 		}
 	}
-	// When q > d·β and the coloring is proper, a proper (AllowFrac=0)
-	// step always finds a conflict-free point; bestConflicts > 0 here
-	// would mean a broken schedule or input coloring, or fault-induced
-	// damage. Proceeding with the best available point keeps the run
+	// bestConflicts > 0 after a proper (AllowFrac=0) step would mean a
+	// broken schedule or input coloring, or fault-induced damage.
+	// Proceeding with the best available point keeps the run
 	// deterministic either way — the validators are the safety net.
-	n.color = gf.PointValue(bestA, myVals[bestA], step.Q)
+	n.color = gf.PointValue(bestA, mine.Eval(bestA), step.Q)
 	if round == len(n.steps) {
 		*n.result = n.color
 		return nil, true
