@@ -406,20 +406,13 @@ func BenchmarkSelectorsEndToEnd(b *testing.B) {
 	})
 }
 
-// BenchmarkSimulatorDrivers micro-benchmarks the engine itself:
-// lockstep vs goroutine-per-node on the Linial protocol.
+// BenchmarkSimulatorDrivers micro-benchmarks the engine itself on the
+// Linial protocol.
 func BenchmarkSimulatorDrivers(b *testing.B) {
 	g := NewRandomRegular(512, 8, 16)
 	b.Run("lockstep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := LinialColor(g, Config{Driver: Lockstep}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("goroutines", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := LinialColor(g, Config{Driver: Goroutines}); err != nil {
 				b.Fatal(err)
 			}
 		}

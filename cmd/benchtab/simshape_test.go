@@ -31,8 +31,8 @@ func TestSimBenchShape(t *testing.T) {
 	if len(rep.Baseline) == 0 {
 		t.Error("recorded baseline missing")
 	}
-	if want := 3 * len(bench.SimWorkloads(true)); len(rep.Current) != want {
-		t.Fatalf("current has %d entries, want %d (3 drivers per workload)", len(rep.Current), want)
+	if want := 2 * len(bench.SimWorkloads(true)); len(rep.Current) != want {
+		t.Fatalf("current has %d entries, want %d (lockstep + workers per workload)", len(rep.Current), want)
 	}
 	for _, e := range rep.Current {
 		if e.RoundsPerSec <= 0 || e.NsPerRound <= 0 || e.Nodes <= 0 || e.MsgsPerRound <= 0 {

@@ -272,13 +272,14 @@ func TestRepairDeterministicUnderConcurrency(t *testing.T) {
 		return out, res, nil
 	}
 	const workers = 8
+	drivers := sim.AllDrivers()
 	reports := make([]Report, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, err := Run(tgt, plan, Options{MaxRounds: 150, Driver: sim.Driver(i%3 + 1)})
+			rep, err := Run(tgt, plan, Options{MaxRounds: 150, Driver: drivers[i%len(drivers)]})
 			if err != nil {
 				t.Error(err)
 				return

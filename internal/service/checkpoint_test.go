@@ -1,7 +1,10 @@
 package service
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,34 +60,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.totals.counterList(), cs.totals.counterList()) {
 		t.Fatal("counter drift")
 	}
-	if !reflect.DeepEqual(back.totals.ShardApplied, cs.totals.ShardApplied) {
-		t.Fatal("shard counter drift")
-	}
 }
 
 // TestCheckpointRestoreMatchesLive pins the restore path: a service
 // rebuilt from its own checkpoint serves the same colors, canonical
 // stats and topology fingerprint as the live one, and audits clean.
 func TestCheckpointRestoreMatchesLive(t *testing.T) {
-	for _, shards := range []int{0, 3} {
-		s := churnedService(t, 12, Options{Shards: shards})
-		cs := s.stateImage()
-		r, err := restoreService(decodeMust(t, cs), Options{Shards: shards})
-		if err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		if !reflect.DeepEqual(r.Snapshot().Colors, s.Snapshot().Colors) {
-			t.Fatalf("shards=%d: colors drift", shards)
-		}
-		if r.TopologyFingerprint() != s.TopologyFingerprint() {
-			t.Fatalf("shards=%d: fingerprint drift", shards)
-		}
-		if got, want := CanonicalStats(r.Stats()), CanonicalStats(s.Stats()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: stats drift:\n got %+v\nwant %+v", shards, got, want)
-		}
-		if err := r.ValidateState(); err != nil {
-			t.Fatalf("shards=%d: restored state invalid: %v", shards, err)
-		}
+	s := churnedService(t, 12, Options{})
+	cs := s.stateImage()
+	r, err := restoreService(decodeMust(t, cs), Options{})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !reflect.DeepEqual(r.Snapshot().Colors, s.Snapshot().Colors) {
+		t.Fatal("colors drift")
+	}
+	if r.TopologyFingerprint() != s.TopologyFingerprint() {
+		t.Fatal("fingerprint drift")
+	}
+	if got, want := CanonicalStats(r.Stats()), CanonicalStats(s.Stats()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats drift:\n got %+v\nwant %+v", got, want)
+	}
+	if err := r.ValidateState(); err != nil {
+		t.Fatalf("restored state invalid: %v", err)
 	}
 }
 
@@ -149,18 +147,51 @@ func TestCheckpointFileDamage(t *testing.T) {
 	}
 }
 
+// checkpointV01 is a well-formed checkpoint file in the retired
+// LCCKPT01 layout (7-node ring-derived state, version 1, WAL segment
+// 2), as the LCCKPT01 writer produced it: its counter block carries
+// four more counters than today's and is followed by two per-shard
+// counter slices.
+const checkpointV01 = "4c43434b50543031010700020002000200030103000204030000000000000000000301020201010101010101010000020400000000000000000000000000000002e44baa7d"
+
 // TestCheckpointDecodeHostileInput: declared lengths beyond the input
-// are rejected before allocation, mirroring the WAL decoder's bound.
+// are rejected before allocation, mirroring the WAL decoder's bound,
+// and a file in a retired format is rejected by its magic instead of
+// being misread.
 func TestCheckpointDecodeHostileInput(t *testing.T) {
-	hostile := [][]byte{
-		{},
-		{0x01},                               // version only
-		{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f}, // ~4·10⁹ nodes, no bytes
-		{0x01, 0x02, 0x00, 0x00, 0x04, 0x02}, // truncated mid-lists
+	v01, err := hex.DecodeString(checkpointV01)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, data := range hostile {
-		if _, err := decodeCheckpoint(data); !errors.Is(err, ErrCheckpoint) {
-			t.Fatalf("hostile %d: err = %v", i, err)
+	hostile := []struct {
+		name string
+		img  []byte
+	}{
+		{"empty payload", checkpointImage(nil)},
+		{"version only", checkpointImage([]byte{0x01})},
+		{"~4·10⁹ nodes, no bytes", checkpointImage([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})},
+		{"truncated mid-lists", checkpointImage([]byte{0x01, 0x02, 0x00, 0x00, 0x04, 0x02})},
+		{"LCCKPT01 image", v01},
+		// The same payload under today's magic and a valid CRC: the
+		// decoder must still refuse it rather than read the old
+		// counter block as today's.
+		{"LCCKPT01 payload, current magic", checkpointImage(v01[len(checkpointMagic) : len(v01)-4])},
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, checkpointFile)
+	for _, h := range hostile {
+		if err := os.WriteFile(path, h.img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if cs, err := readCheckpoint(dir); !errors.Is(err, ErrCheckpoint) {
+			t.Fatalf("%s: err = %v (state %+v), want ErrCheckpoint", h.name, err, cs)
 		}
 	}
+}
+
+// checkpointImage frames a payload the way writeCheckpoint does:
+// current magic, payload, CRC-32C trailer.
+func checkpointImage(payload []byte) []byte {
+	img := append(append([]byte(nil), checkpointMagic...), payload...)
+	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(payload, walCRC))
 }

@@ -368,3 +368,374 @@ func TestServiceConcurrentReadWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// slackInstance builds an instance sized to the topology: palette
+// space maxdeg+4 (so a conflict-minimizing recolor always has room)
+// with a uniform defect budget of 1 — enough slack that the initial
+// Heal converges on every generator, and enough pressure that churn
+// produces real hard conflicts and recolors.
+func slackInstance(base *graph.CSR) *coloring.Instance {
+	maxDeg := 0
+	for v := 0; v < base.N(); v++ {
+		if d := base.Degree(v); d > maxDeg {
+			maxDeg = d
+		}
+	}
+	space := maxDeg + 4
+	full := make([]int, space)
+	for i := range full {
+		full[i] = i
+	}
+	ones := make([]int, space)
+	for i := range ones {
+		ones[i] = 1
+	}
+	inst := &coloring.Instance{Space: space, Lists: make([][]int, base.N()), Defects: make([][]int, base.N())}
+	for v := 0; v < base.N(); v++ {
+		inst.Lists[v] = full
+		inst.Defects[v] = ones
+	}
+	return inst
+}
+
+// churnMirror tracks the topology a generated script produces, so op
+// generation is deterministic and independent of any service state.
+type churnMirror struct {
+	n   int
+	adj []map[int]bool
+}
+
+func newChurnMirror(base *graph.CSR) *churnMirror {
+	m := &churnMirror{n: base.N(), adj: make([]map[int]bool, base.N())}
+	for v := 0; v < base.N(); v++ {
+		m.adj[v] = make(map[int]bool)
+		for _, u := range base.Row(v) {
+			m.adj[v][u] = true
+		}
+	}
+	return m
+}
+
+// nextWithEdges scans deterministically from u for a node with at
+// least one incident edge (-1 if the graph is empty).
+func (m *churnMirror) nextWithEdges(u int) int {
+	for d := 0; d < m.n; d++ {
+		v := (u + d) % m.n
+		if len(m.adj[v]) > 0 {
+			return v
+		}
+	}
+	return -1
+}
+
+// smallestNeighbor returns min(adj[u]) by deterministic scan (map
+// iteration order must never leak into the script).
+func (m *churnMirror) smallestNeighbor(u int) int {
+	for d := 1; d < m.n; d++ {
+		v := (u + d) % m.n
+		if m.adj[u][v] {
+			return v
+		}
+	}
+	return -1
+}
+
+// churnScript generates a deterministic batched op stream: mostly
+// spatially local edge churn (offsets ≤ 8), plus long-range edges,
+// node add/remove, and set_list — order-sensitive traffic whose
+// replay must be exact.
+func churnScript(base *graph.CSR, batches, batchSize int, seed int64) [][]Op {
+	rng := rand.New(rand.NewSource(seed))
+	m := newChurnMirror(base)
+	script := make([][]Op, 0, batches)
+	for b := 0; b < batches; b++ {
+		ops := make([]Op, 0, batchSize)
+		for len(ops) < batchSize {
+			switch r := rng.Intn(100); {
+			case r < 50: // local add_edge
+				u := rng.Intn(m.n)
+				v := (u + 1 + rng.Intn(8)) % m.n
+				if u == v || m.adj[u][v] {
+					continue
+				}
+				m.adj[u][v], m.adj[v][u] = true, true
+				ops = append(ops, Op{Action: OpAddEdge, U: u, V: v})
+			case r < 60: // long-range add_edge (usually cross-region)
+				u := rng.Intn(m.n)
+				v := (u + m.n/2 + rng.Intn(8)) % m.n
+				if u == v || m.adj[u][v] {
+					continue
+				}
+				m.adj[u][v], m.adj[v][u] = true, true
+				ops = append(ops, Op{Action: OpAddEdge, U: u, V: v})
+			case r < 80: // remove_edge
+				u := m.nextWithEdges(rng.Intn(m.n))
+				if u < 0 {
+					continue
+				}
+				v := m.smallestNeighbor(u)
+				delete(m.adj[u], v)
+				delete(m.adj[v], u)
+				ops = append(ops, Op{Action: OpRemoveEdge, U: u, V: v})
+			case r < 85: // add_node (default full-palette list)
+				m.adj = append(m.adj, make(map[int]bool))
+				m.n++
+				ops = append(ops, Op{Action: OpAddNode})
+			case r < 92: // remove_node
+				u := m.nextWithEdges(rng.Intn(m.n))
+				if u < 0 {
+					continue
+				}
+				for v := range m.adj[u] {
+					delete(m.adj[v], u)
+				}
+				m.adj[u] = make(map[int]bool)
+				ops = append(ops, Op{Action: OpRemoveNode, Node: u})
+			default: // set_list: bump the node's defect budget
+				u := rng.Intn(m.n)
+				ops = append(ops, Op{Action: OpSetList, Node: u})
+			}
+		}
+		script = append(script, ops)
+	}
+	return script
+}
+
+// fillSetLists completes set_list ops with the instance's palette (a
+// full list, defect budget 2 — a slack bump the repair schedule
+// must account identically on every replay).
+func fillSetLists(script [][]Op, space int) {
+	full := make([]int, space)
+	for i := range full {
+		full[i] = i
+	}
+	twos := make([]int, space)
+	for i := range twos {
+		twos[i] = 2
+	}
+	for _, ops := range script {
+		for i := range ops {
+			if ops[i].Action == OpSetList {
+				ops[i].List = full
+				ops[i].Defects = twos
+			}
+		}
+	}
+}
+
+// TestSnapshotReadsLockFree pins the read-path contract: Stats,
+// HasEdge, DegreeOf, Color, and ColorsOf are served from the atomic
+// snapshot and never take the writer lock — calling them while the
+// lock is held must not deadlock.
+func TestSnapshotReadsLockFree(t *testing.T) {
+	s := mustService(t, graph.StreamedRing(32), palInstance(32, 4), Options{})
+	if _, err := s.ApplyBatch([]Op{{Action: OpAddEdge, U: 0, V: 2}}); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+
+	s.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if !s.HasEdge(0, 2) {
+			t.Error("HasEdge(0,2) = false after insert")
+		}
+		if d := s.DegreeOf(0); d != 3 {
+			t.Errorf("DegreeOf(0) = %d, want 3", d)
+		}
+		if st := s.Stats(); st.Updates != 1 {
+			t.Errorf("Stats().Updates = %d, want 1", st.Updates)
+		}
+		if _, _, ok := s.Color(0); !ok {
+			t.Error("Color(0) not ok")
+		}
+		if _, _, ok := s.ColorsOf([]int{0, 1}); !ok {
+			t.Error("ColorsOf not ok")
+		}
+	}()
+	<-done
+	s.mu.Unlock()
+}
+
+// TestServiceConcurrentChurnReadWrite is the -race soak for the full
+// op mix: the single writer applies churn batches (edge, node, and
+// set_list ops) with a small compaction threshold while reader
+// goroutines hammer the snapshot endpoints, including topology reads
+// through the published TopoView chain across background compaction
+// swaps.
+func TestServiceConcurrentChurnReadWrite(t *testing.T) {
+	const n = 600
+	base := graph.StreamedRing(n)
+	inst := slackInstance(base)
+	s := mustService(t, base, inst, Options{CompactThreshold: 32})
+	script := churnScript(base, 30, 8, 99)
+	fillSetLists(script, inst.Space)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			i := g
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := i % s.N()
+				s.Color(v)
+				s.HasEdge(v, (v+1)%n)
+				s.DegreeOf(v)
+				s.Stats()
+				s.ColorsOf([]int{v, (v + 7) % n})
+				snap := s.Snapshot()
+				if snap.Topo.N() != len(snap.Colors) {
+					t.Errorf("snapshot topo n=%d vs %d colors", snap.Topo.N(), len(snap.Colors))
+					return
+				}
+				i++
+			}
+		}(g)
+	}
+
+	for bi, ops := range script {
+		if _, err := s.ApplyBatch(ops); err != nil {
+			t.Fatalf("batch %d: %v", bi, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := s.ValidateState(); err != nil {
+		t.Fatalf("final state invalid: %v", err)
+	}
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Fatal("soak never swapped in a background compaction")
+	}
+}
+
+// benchReads is the read mix the lock-contention satellite measures:
+// previously Stats/HasEdge/DegreeOf took the writer lock and stalled
+// behind ApplyBatch; now all three serve from the atomic snapshot.
+func benchReads(s *Service, i, n int) int {
+	v := i % n
+	sink := 0
+	if s.HasEdge(v, (v+1)%n) {
+		sink++
+	}
+	sink += s.DegreeOf(v)
+	sink += int(s.Stats().Updates)
+	return sink
+}
+
+// BenchmarkSnapshotReadsIdleWriter is the baseline read cost with no
+// writer traffic.
+func BenchmarkSnapshotReadsIdleWriter(b *testing.B) {
+	const n = 4096
+	base := graph.StreamedRing(n)
+	s, err := New(base, palInstance(n, 4), nil, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += benchReads(s, i, n)
+	}
+	_ = sink
+}
+
+// BenchmarkSnapshotReadsBusyWriter is the same read mix while a
+// writer applies churn batches flat out. With lock-served reads this
+// degraded by the writer's batch occupancy (multi-millisecond
+// stalls); with snapshot-served reads the per-read cost stays within
+// a small constant of the idle baseline.
+func BenchmarkSnapshotReadsBusyWriter(b *testing.B) {
+	const n = 4096
+	base := graph.StreamedRing(n)
+	inst := slackInstance(base)
+	s, err := New(base, inst, nil, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	script := churnScript(base, 64, 32, 1)
+	fillSetLists(script, inst.Space)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, _ = s.ApplyBatch(script[i%len(script)])
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		sink += benchReads(s, i, n)
+	}
+	b.StopTimer()
+	close(stop)
+	<-done
+	_ = sink
+}
+
+// TestBackgroundCompactionSwap pins the off-critical-path compaction
+// protocol: the launch batch reports Compacted, the swap happens at
+// the next batch boundary (patch count drops to the rows mutated
+// since the freeze), and reads through the rebased snapshot stay
+// correct.
+func TestBackgroundCompactionSwap(t *testing.T) {
+	base := graph.StreamedRing(64)
+	s := mustService(t, base, palInstance(64, 5), Options{CompactThreshold: 8})
+
+	var launched bool
+	for i := 0; i < 12 && !launched; i++ {
+		u := (3 * i) % 64
+		rep, err := s.ApplyBatch([]Op{
+			{Action: OpAddEdge, U: u, V: (u + 5) % 64},
+			{Action: OpAddEdge, U: (u + 11) % 64, V: (u + 17) % 64},
+		})
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		launched = rep.Compacted
+	}
+	if !launched {
+		t.Fatal("compaction never launched")
+	}
+	if got := s.Stats().Compactions; got != 1 {
+		t.Fatalf("Compactions = %d, want 1", got)
+	}
+	patchedAtLaunch := s.Stats().Patched
+	if patchedAtLaunch <= 8 {
+		t.Fatalf("patched = %d at launch, want > threshold", patchedAtLaunch)
+	}
+
+	// The next batch blocks on the builder, rebases, and the patch map
+	// keeps only the rows this batch (and any post-freeze churn)
+	// touched.
+	if _, err := s.ApplyBatch([]Op{{Action: OpAddEdge, U: 1, V: 30}}); err != nil {
+		t.Fatalf("swap batch: %v", err)
+	}
+	if got := s.Stats().Patched; got >= patchedAtLaunch {
+		t.Fatalf("patched = %d after swap, want < %d", got, patchedAtLaunch)
+	}
+	if !s.HasEdge(1, 30) {
+		t.Fatal("post-swap snapshot lost the new edge")
+	}
+	if !s.HasEdge(0, 5) && !s.HasEdge(3, 8) {
+		// edges from the pre-compaction churn must survive the rebase
+		t.Fatal("post-swap snapshot lost pre-compaction edges")
+	}
+	if err := s.ValidateState(); err != nil {
+		t.Fatalf("post-swap state invalid: %v", err)
+	}
+}

@@ -8,7 +8,7 @@ import "fmt"
 // command-line tools iterate over this slice instead of hard-coding
 // the set, so a new driver is automatically picked up everywhere.
 func AllDrivers() []Driver {
-	return []Driver{Lockstep, Goroutines, Workers}
+	return []Driver{Lockstep, Workers}
 }
 
 // String returns the driver's canonical name (the one ParseDriver
@@ -17,8 +17,6 @@ func (d Driver) String() string {
 	switch d {
 	case Lockstep:
 		return "lockstep"
-	case Goroutines:
-		return "goroutines"
 	case Workers:
 		return "workers"
 	default:

@@ -19,8 +19,8 @@ func TestDriverNamesRoundTrip(t *testing.T) {
 
 func TestAllDriversReferenceFirst(t *testing.T) {
 	ds := AllDrivers()
-	if len(ds) < 3 || ds[0] != Lockstep {
-		t.Fatalf("AllDrivers() = %v, want Lockstep first and all three drivers", ds)
+	if len(ds) != 2 || ds[0] != Lockstep || ds[1] != Workers {
+		t.Fatalf("AllDrivers() = %v, want [lockstep workers]", ds)
 	}
 }
 
