@@ -192,7 +192,7 @@ func auditRange(topo Topology, inst *Instance, colors []int, conflicts []int, lo
 
 // AuditReportsEqual reports whether two audit reports agree on every
 // field, comparing violations by presence and text — the equivalence
-// predicate of the seq-vs-par conformance checks and the graph_build
+// predicate of the seq-vs-par conformance checks and the audit
 // benchmark rows.
 func AuditReportsEqual(a, b AuditReport) bool {
 	if a.Nodes != b.Nodes || a.ScannedArcs != b.ScannedArcs ||

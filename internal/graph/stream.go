@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 )
 
 // RingStream returns the edge stream of the n-cycle (n ≥ 3).
@@ -99,16 +99,20 @@ func StreamedGNP(n int, p float64, seed int64) *CSR {
 // powerLawScratch is the reusable working memory of one
 // PowerLawStream replay: the degree-weighted sampling pool (4 bytes
 // per attachment endpoint, int32 entries) and the per-arrival chosen
-// set. Pooled across replays — the pool is by far the dominant build
-// allocation (≈ 8·k·n bytes per replay, and StreamCSR replays twice) —
-// the same lifecycle pattern as palette.SelectScratch's arena;
+// set. The pool is by far the dominant build allocation (≈ 8·k·n bytes
+// per replay, and StreamCSR replays twice), so replays share it
+// through a one-slot cache: a replay takes the cached scratch (or
+// allocates one if the slot is empty, e.g. under a concurrent replay)
+// and puts it back when done. Unlike a sync.Pool, the slot survives GC
+// cycles and P migration, so reuse is deterministic; the price is one
+// scratch kept alive between builds (docs/MEMORY.md).
 // TestPowerLawStreamScratchReuse guards the allocation bound.
 type powerLawScratch struct {
 	targets []int32
 	chosen  []int32
 }
 
-var powerLawScratchPool = sync.Pool{New: func() any { return new(powerLawScratch) }}
+var powerLawScratchCache atomic.Pointer[powerLawScratch]
 
 // PowerLawStream returns the edge stream of a preferential-attachment
 // (Barabási–Albert style) graph on n vertices drawn deterministically
@@ -116,14 +120,11 @@ var powerLawScratchPool = sync.Pool{New: func() any { return new(powerLawScratch
 // attaches to k distinct existing vertices chosen proportionally to
 // degree with 5% uniform smoothing — the same skewed-degree family as
 // PowerLaw, in streaming form. Each replay rebuilds its state from a
-// pooled scratch (reset, never reread), so replays stay independent
+// cached scratch (reset, never reread), so replays stay independent
 // while steady-state builds stop reallocating the sampling pool; n
-// must stay below 2³¹ (int32 pool entries).
-//
-// The stream is sequential by construction: every arrival samples the
-// global degree-weighted pool, so no prefix is independent of the
-// rest — there is no segmented form (wrap in SingleSegment for
-// BuildCSRParallel, which then takes the sequential build path).
+// must stay below 2³¹ (int32 pool entries). The stream is sequential
+// by construction: every arrival samples the global degree-weighted
+// pool, so no prefix is independent of the rest.
 func PowerLawStream(n, k int, seed int64) EdgeStream {
 	if k < 1 || n < k+1 {
 		panic(fmt.Sprintf("graph: PowerLawStream(%d,%d) infeasible", n, k))
@@ -133,8 +134,11 @@ func PowerLawStream(n, k int, seed int64) EdgeStream {
 	}
 	return func(emit func(u, v int)) {
 		rng := rand.New(rand.NewSource(seed))
-		sc := powerLawScratchPool.Get().(*powerLawScratch)
-		defer powerLawScratchPool.Put(sc)
+		sc := powerLawScratchCache.Swap(nil)
+		if sc == nil {
+			sc = new(powerLawScratch)
+		}
+		defer powerLawScratchCache.Store(sc)
 		if need := 2*(n-k-1)*k + k*(k+1); cap(sc.targets) < need {
 			sc.targets = make([]int32, 0, need)
 		}
